@@ -29,11 +29,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import functions as F
 
+from repro import ALPHA_DEFAULT
 from repro.bepi.index import BepiIndex
 from repro.graphs.ccomp import connected_components, connected_components_local
 from repro.graphs.graph import Graph
-
-_ALPHA_DEFAULT = 0.2
 
 
 def _comp_sizes(comp: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -177,7 +176,7 @@ def _coo_from_edges(
 def build_bepi_index(
     g: Graph,
     *,
-    alpha: float = _ALPHA_DEFAULT,
+    alpha: float = ALPHA_DEFAULT,
     max_block: int = 1024,
     hub_frac: float = 0.02,
     final_cc: str = "spark",

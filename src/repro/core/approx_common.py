@@ -1,5 +1,6 @@
-"""Shared phase-2 machinery for FORA and SpeedPPR: refine a forward-push
-state ``(π̂, r)`` with α-random walks started from the residues (Eq. 13/14).
+"""Shared machinery for FORA, SpeedPPR and ResAcc: the walk budget with its
+MonteCarlo fallback, and phase 2, which refines a forward-push state
+``(π̂, r)`` with α-random walks started from the residues (Eq. 13/14).
 
 For every node ``v`` with ``r(s,v) > 0``, ``W_v = ⌈r(s,v)·W⌉`` walks are
 performed (read from a :class:`~repro.core.walk_index.WalkIndex` when one
@@ -14,11 +15,25 @@ import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.montecarlo import simulate_walks_df, weighted_endpoint_mass
+from repro import ALPHA_DEFAULT
+from repro.core.common import PPRResult, check_query, vec_add
+from repro.core.montecarlo import monte_carlo, num_walks, simulate_walks_df, weighted_endpoint_mass
 from repro.core.walk_index import WalkIndex
-from repro.core.common import vec_add
 from repro.graphs.graph import Graph
 from repro.linalg.walks import simulate_endpoints
+
+
+def walk_budget(
+    g: Graph, s: int, *, eps: float, mu: float | None, alpha: float, seed: int
+) -> tuple[int, PPRResult | None]:
+    """``W`` of Eq. (12) for the query (``μ`` defaults to ``1/n``), and the
+    MonteCarlo answer when ``m ≥ W`` — the paper's wlog ``m < W``: plain
+    MonteCarlo is then already ``O(W)``."""
+    check_query(g, s, alpha=alpha, eps=eps)
+    W = num_walks(g.n, eps, 1.0 / g.n if mu is None else mu)
+    if g.m >= W:
+        return W, monte_carlo(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
+    return W, None
 
 
 def walk_starts(r_df: DataFrame, W: int) -> DataFrame:
@@ -41,7 +56,7 @@ def refine_with_walks(
     r_df: DataFrame,
     W: int,
     *,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     seed: int = 0,
     index: WalkIndex | None = None,
 ) -> tuple[DataFrame, int]:

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 import time
 
-from repro.core.approx_common import refine_with_walks
+from repro import ALPHA_DEFAULT
+from repro.core.approx_common import refine_with_walks, walk_budget
 from repro.core.common import PPRResult
 from repro.core.fwdpush import fifo_fwdpush
-from repro.core.montecarlo import monte_carlo, num_walks
 from repro.core.walk_index import WalkIndex
 from repro.graphs.graph import Graph
 
@@ -24,17 +24,15 @@ def fora(
     *,
     eps: float,
     mu: float | None = None,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     seed: int = 0,
     index: WalkIndex | None = None,
 ) -> PPRResult:
     """Answer an Approx-SSPPR query; pass ``index`` for FORA+."""
     t0 = time.perf_counter()
-    mu = 1.0 / g.n if mu is None else mu
-    W = num_walks(g.n, eps, mu)
-    if g.m >= W:
-        # the paper's wlog m < W note: plain MonteCarlo is already O(W)
-        return monte_carlo(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
+    W, mc = walk_budget(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
+    if mc is not None:
+        return mc
     r_max = 1.0 / math.sqrt(g.m * W)
     push = fifo_fwdpush(g, s, alpha=alpha, r_max=r_max)
     pi, walks_used = refine_with_walks(

@@ -1,4 +1,5 @@
-"""Distributed Forward Push.
+"""Distributed Forward Push, as runs of the push engine
+(:mod:`repro.core.common`).
 
 Two variants:
 
@@ -7,29 +8,26 @@ Two variants:
   (``r > d·r_max``) at the start of superstep ``j+1``, all of which are
   pushed in that superstep. In a bulk-synchronous dataflow this is the
   faithful parallel form of the FIFO queue — the paper's Theorem 4.3
-  analysis is stated over exactly these iterations.
-* :func:`sim_fwdpush` — SimFwdPush (§4.1): ``r_max = 0``, i.e. every node
-  holding residue is pushed each superstep; provably identical to PowItr
-  (Lemma 4.1), which the tests assert against :mod:`repro.core.powitr`.
+  analysis is stated over exactly these iterations. Once ``r_sum ≤
+  m·r_max`` (the Eq. 7 ℓ1 target) the frontier is a sparse trickle —
+  Lemma 4.5's O(m) tail — and is drained on the driver.
+* :func:`sim_fwdpush` — SimFwdPush (§4.1): the engine at ``r_max = 0``,
+  i.e. every node holding residue is pushed each superstep; provably
+  identical to PowItr (Lemma 4.1), which the tests assert against
+  :mod:`repro.core.powitr`.
 """
 from __future__ import annotations
 
 import time
 
-from pyspark.sql import functions as F
-
+from repro import ALPHA_DEFAULT
 from repro.core.common import (
+    MAX_SUPERSTEPS_DEFAULT,
     PPRResult,
-    empty_vec,
     frontier_stats,
-    materialize,
-    push_msgs,
-    split_active,
-    unit_vec,
-    vec_add,
-    vec_scale,
+    push_state,
+    run_frontier,
 )
-from repro.core.driver_tail import finish_on_driver
 from repro.graphs.graph import Graph
 
 
@@ -37,10 +35,10 @@ def fifo_fwdpush(
     g: Graph,
     s: int,
     *,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     r_max: float | None = None,
     lam: float = 1e-6,
-    max_supersteps: int = 10_000,
+    max_supersteps: int = MAX_SUPERSTEPS_DEFAULT,
 ) -> PPRResult:
     """Frontier-synchronous FwdPush; terminates when no node is active.
 
@@ -49,47 +47,16 @@ def fifo_fwdpush(
     t0 = time.perf_counter()
     if r_max is None:
         r_max = lam / g.m
-    adj, deg_q = g.query_view(s)
-    adj = adj.cache()
-    deg_q = deg_q.cache()
-    spark = g.spark
-    r = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    supersteps = 0
-    edge_pushes = 0
-    tail_pushes = 0
-    lam_target = g.m * r_max  # the Eq. 7 ℓ1 target; past it the frontier
-    # is a sparse trickle — Lemma 4.5's O(m) tail, drained on the driver
-    while supersteps < max_supersteps:
-        r_sum, n_active, deg_active = frontier_stats(r, deg_q, r_max)
-        if n_active == 0:
-            break
-        if r_sum <= lam_target:
-            pi = materialize(pi)
-            pi, r, tail_pushes = finish_on_driver(g, s, pi, r, r_max, alpha)
-            break
-        frontier, rest = split_active(r, deg_q, r_max)
-        pi = vec_add(pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        msgs = push_msgs(frontier, adj, alpha)
-        r = materialize(vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
-        supersteps += 1
-        if supersteps % 4 == 0:
-            pi = materialize(pi)
-        edge_pushes += deg_active
-    else:
-        raise RuntimeError("fifo_fwdpush: superstep limit hit before inactivity")
-    pi = materialize(pi)
-    edge_pushes += tail_pushes
-    r_sum, _, _ = frontier_stats(r, deg_q, r_max)
-    adj.unpersist()
-    deg_q.unpersist()
+    with push_state(g, s, alpha=alpha, max_supersteps=max_supersteps, lam=lam, r_max=r_max) as st:
+        run_frontier(st, r_max, to_driver=lambda r_sum, _: r_sum <= g.m * r_max)
+        r_sum, _, _ = frontier_stats(st.r, st.deg_q, r_max)
     return PPRResult(
-        pi=pi,
-        r=r,
+        pi=st.pi,
+        r=st.r,
         stats={
             "algorithm": "FIFO-FwdPush",
-            "supersteps": supersteps,
-            "edge_pushes": edge_pushes,
+            "supersteps": st.supersteps,
+            "edge_pushes": st.edge_pushes,
             "r_sum": r_sum,
             "r_max": r_max,
             "wall_time": time.perf_counter() - t0,
@@ -98,43 +65,26 @@ def fifo_fwdpush(
 
 
 def sim_fwdpush(
-    g: Graph, s: int, *, alpha: float = 0.2, lam: float = 1e-6, max_supersteps: int = 10_000
+    g: Graph,
+    s: int,
+    *,
+    alpha: float = ALPHA_DEFAULT,
+    lam: float = 1e-6,
+    max_supersteps: int = MAX_SUPERSTEPS_DEFAULT,
 ) -> PPRResult:
     """SimFwdPush: push *every* node with non-zero residue each superstep,
     stop when ``r_sum ≤ lam``. Numerically identical to PowItr."""
     t0 = time.perf_counter()
-    adj, deg_q = g.query_view(s)
-    adj = adj.cache()
-    deg_q = deg_q.cache()
-    spark = g.spark
-    r = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    supersteps = 0
-    edge_pushes = 0
-    r_sum = 1.0
-    while r_sum > lam and supersteps < max_supersteps:
-        # r_max = 0: the whole support is the frontier. Every push moves
-        # all residue, so r_sum decays exactly geometrically (Eq. 6) — no
-        # aggregate needed for loop control, only for the push counter.
-        _, _, deg_active = frontier_stats(r, deg_q, 0.0)
-        pi = vec_add(pi, vec_scale(r, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        r = materialize(push_msgs(r, adj, alpha))
-        supersteps += 1
-        if supersteps % 8 == 0:
-            pi = materialize(pi)
-        r_sum = (1.0 - alpha) ** supersteps
-        edge_pushes += deg_active
-    pi = materialize(pi)
-    adj.unpersist()
-    deg_q.unpersist()
+    with push_state(g, s, alpha=alpha, max_supersteps=max_supersteps, lam=lam) as st:
+        run_frontier(st, 0.0, stop=lambda r_sum, _: r_sum <= lam)
     return PPRResult(
-        pi=pi,
-        r=r,
+        pi=st.pi,
+        r=st.r,
         stats={
             "algorithm": "SimFwdPush",
-            "supersteps": supersteps,
-            "edge_pushes": edge_pushes,
-            "r_sum": r_sum,
+            "supersteps": st.supersteps,
+            "edge_pushes": st.edge_pushes,
+            "r_sum": st.r_sum,
             "wall_time": time.perf_counter() - t0,
         },
     )

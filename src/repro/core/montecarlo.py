@@ -21,7 +21,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 from pyspark.sql.types import BooleanType, LongType, StructField, StructType
 
-from repro.core.common import PPRResult, empty_vec
+from repro import ALPHA_DEFAULT
+from repro.core.common import PPRResult, check_query, empty_vec
 from repro.graphs.graph import Graph
 from repro.linalg.walks import (
     MAX_STEPS_DEFAULT,
@@ -41,7 +42,7 @@ def simulate_walks_df(
     seeds: DataFrame,
     *,
     s: int | None,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     seed: int = 0,
     max_steps: int = MAX_STEPS_DEFAULT,
 ) -> DataFrame:
@@ -106,11 +107,12 @@ def monte_carlo(
     *,
     eps: float,
     mu: float | None = None,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     seed: int = 0,
 ) -> PPRResult:
     """The plain MonteCarlo method: W α-walks from s, π̂(v) = f(s,v)/W."""
     t0 = time.perf_counter()
+    check_query(g, s, alpha=alpha, eps=eps)
     mu = 1.0 / g.n if mu is None else mu
     W = num_walks(g.n, eps, mu)
     seeds = (

@@ -1,51 +1,32 @@
 """Distributed Power Iteration (paper §3.1).
 
-Maintains the alive-mass vector ``γ`` and the estimate ``π`` as sparse
-DataFrames; each superstep computes ``γ ← (1−α)·γ·P`` via the shared push
-kernel and accumulates ``π += α·γ``. By Eq. (6) the ℓ1 error after ``j``
-iterations is exactly ``(1−α)^j``, so the loop bound is analytic — a final
-aggregate asserts it.
+The push engine's threshold-0 case: every superstep pushes all of the
+alive-mass vector ``γ`` (the residue ``r``), ``γ ← (1−α)·γ·P``, and
+accumulates ``π += α·γ``. By Eq. (6) the ℓ1 error after ``j`` iterations
+is exactly ``(1−α)^j``, so the loop bound is analytic and no superstep
+takes a frontier action — a final aggregate reports the residual.
 """
 from __future__ import annotations
 
 import math
 import time
 
-from repro.core.common import (
-    PPRResult,
-    empty_vec,
-    materialize,
-    push_msgs,
-    unit_vec,
-    vec_add,
-    vec_scale,
-)
+from repro import ALPHA_DEFAULT
+from repro.core.common import PPRResult, push_state, push_superstep
 from repro.graphs.graph import Graph
 
 
-def powitr(g: Graph, s: int, *, alpha: float = 0.2, lam: float = 1e-6) -> PPRResult:
+def powitr(g: Graph, s: int, *, alpha: float = ALPHA_DEFAULT, lam: float = 1e-6) -> PPRResult:
     """Run distributed PowItr until ``‖π̂−π‖₁ ≤ lam``."""
     t0 = time.perf_counter()
-    adj, _ = g.query_view(s)
-    adj = adj.cache()
-    spark = g.spark
-    gamma = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    iters = int(math.ceil(math.log(lam) / math.log(1.0 - alpha)))
-    for j in range(iters):
-        # π accumulates lazily; checkpoint every few supersteps to bound
-        # the union-chain depth (γ is checkpointed every step — it feeds
-        # the next join)
-        pi = vec_add(pi, vec_scale(gamma, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        if (j + 1) % 8 == 0:
-            pi = materialize(pi)
-        gamma = materialize(push_msgs(gamma, adj, alpha))
-    pi = materialize(pi)
-    r_sum = gamma.groupBy().sum("r").collect()[0][0] or 0.0
-    adj.unpersist()
+    with push_state(g, s, alpha=alpha, lam=lam) as st:
+        iters = int(math.ceil(math.log(lam) / math.log(1.0 - alpha)))
+        for _ in range(iters):
+            push_superstep(st, 0.0)
+        r_sum = st.r.groupBy().sum("r").collect()[0][0] or 0.0
     return PPRResult(
-        pi=pi,
-        r=gamma,
+        pi=st.pi,
+        r=st.r,
         stats={
             "algorithm": "PowItr",
             "iterations": iters,

@@ -3,9 +3,10 @@ accumulation.
 
 ResAcc's observation: residue that flows *back to the source* would spawn
 walks distributed exactly like π_s itself, so it can be handled
-deterministically instead of sampled. We run the FwdPush phase with the
-source **excluded from the frontier after its initial push**, letting its
-returned residue ``R_s`` accumulate; by the push invariant
+deterministically instead of sampled. We run the FwdPush phase on the
+push engine (:mod:`repro.core.common`) with the source **excluded from the
+frontier after its initial push**, letting its returned residue ``R_s``
+accumulate; by the push invariant
 ``π = π̂ + Σ_v r(v)·π^{(v)}`` and ``π^{(s)} = π`` this gives
 
     π = (π̂ + Σ_{v≠s} r(v)·π^{(v)}) / (1 − R_s),
@@ -21,20 +22,15 @@ import time
 
 from pyspark.sql import functions as F
 
-from repro.core.approx_common import refine_with_walks
+from repro import ALPHA_DEFAULT
+from repro.core.approx_common import refine_with_walks, walk_budget
 from repro.core.common import (
+    MAX_SUPERSTEPS_DEFAULT,
     PPRResult,
-    empty_vec,
-    frontier_stats,
-    materialize,
-    push_msgs,
-    split_active,
-    unit_vec,
-    vec_add,
-    vec_scale,
+    push_state,
+    push_superstep,
+    run_frontier,
 )
-from repro.core.driver_tail import finish_on_driver
-from repro.core.montecarlo import monte_carlo, num_walks
 from repro.graphs.graph import Graph
 
 
@@ -44,51 +40,24 @@ def resacc(
     *,
     eps: float,
     mu: float | None = None,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     seed: int = 0,
-    max_supersteps: int = 10_000,
+    max_supersteps: int = MAX_SUPERSTEPS_DEFAULT,
 ) -> PPRResult:
     """Answer an Approx-SSPPR query with source-residue accumulation."""
     t0 = time.perf_counter()
-    mu = 1.0 / g.n if mu is None else mu
-    W = num_walks(g.n, eps, mu)
-    if g.m >= W:
-        return monte_carlo(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
+    W, mc = walk_budget(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
+    if mc is not None:
+        return mc
     r_max = 1.0 / math.sqrt(g.m * W)
-    adj, deg_q = g.query_view(s)
-    adj = adj.cache()
-    deg_q = deg_q.cache()
-    spark = g.spark
-    r = materialize(unit_vec(spark, s, "r"))
-    pi = materialize(empty_vec(spark, "pi"))
-    supersteps = 0
-    first = True
-    trickle = max(8, g.n // 64)
-    while supersteps < max_supersteps:
-        _, n_active, _ = frontier_stats(r, deg_q, r_max)
-        frontier, rest = split_active(r, deg_q, r_max)
-        if not first:
-            # the source's residue accumulates instead of being re-pushed
-            rest = rest.unionByName(frontier.where(F.col("node") == s))
-            frontier = frontier.where(F.col("node") != s)
-            cnt = frontier.count()
-            if cnt == 0:
-                break
-            if cnt <= trickle:
-                # sparse tail: drain on the driver (source still excluded)
-                pi = materialize(pi)
-                pi, r, _ = finish_on_driver(g, s, pi, r, r_max, alpha, exclude=s)
-                break
-        elif n_active == 0:
-            break
-        pi = vec_add(pi, vec_scale(frontier, alpha, "r").withColumnRenamed("r", "pi"), "pi")
-        msgs = push_msgs(frontier, adj, alpha)
-        r = materialize(vec_add(rest, msgs, "r").where(F.col("r") > 0.0))
-        supersteps += 1
-        if supersteps % 4 == 0:
-            pi = materialize(pi)
-        first = False
-    pi = materialize(pi)
+    with push_state(g, s, alpha=alpha, max_supersteps=max_supersteps, r_max=r_max) as st:
+        # the initial push: all residue sits on s, which is active since
+        # m < W gives d_s·r_max ≤ m/√(mW) < 1
+        push_superstep(st, r_max)
+        # from here on the source's residue accumulates instead of being
+        # re-pushed; a sparse tail is drained on the driver
+        run_frontier(st, r_max, to_driver=lambda _, n_active: n_active <= st.trickle, exclude=s)
+    pi, r = st.pi, st.r
 
     r_s_row = r.where(F.col("node") == s).collect()
     r_s = float(r_s_row[0]["r"]) if r_s_row else 0.0
@@ -99,8 +68,6 @@ def resacc(
     scale = 1.0 / (1.0 - r_s)
     pi_final = pi_refined.select("node", (F.col("pi") * F.lit(scale)).alias("pi")).cache()
     pi_final.count()
-    adj.unpersist()
-    deg_q.unpersist()
     return PPRResult(
         pi=pi_final,
         r=r,
@@ -109,7 +76,7 @@ def resacc(
             "num_walks": W,
             "walks_used": walks_used,
             "source_residue": r_s,
-            "push_supersteps": supersteps,
+            "push_supersteps": st.supersteps,
             "wall_time": time.perf_counter() - t0,
         },
     )

@@ -11,11 +11,9 @@ from __future__ import annotations
 
 import time
 
-from pyspark.sql import functions as F
-
-from repro.core.approx_common import refine_with_walks
+from repro import ALPHA_DEFAULT
+from repro.core.approx_common import refine_with_walks, walk_budget
 from repro.core.common import PPRResult
-from repro.core.montecarlo import monte_carlo, num_walks
 from repro.core.powerpush import powerpush
 from repro.core.walk_index import WalkIndex
 from repro.graphs.graph import Graph
@@ -27,16 +25,15 @@ def speedppr(
     *,
     eps: float,
     mu: float | None = None,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     seed: int = 0,
     index: WalkIndex | None = None,
 ) -> PPRResult:
     """Answer an Approx-SSPPR query; pass ``index`` for SpeedPPR-Index."""
     t0 = time.perf_counter()
-    mu = 1.0 / g.n if mu is None else mu
-    W = num_walks(g.n, eps, mu)
-    if g.m >= W:
-        return monte_carlo(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
+    W, mc = walk_budget(g, s, eps=eps, mu=mu, alpha=alpha, seed=seed)
+    if mc is not None:
+        return mc
     lam = g.m / W
     push = powerpush(g, s, alpha=alpha, lam=lam, refine_r_max=1.0 / W)
     pi, walks_used = refine_with_walks(

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 
+from repro import ALPHA_DEFAULT
 from repro.core.montecarlo import num_walks, simulate_walks_df
 from repro.graphs.graph import Graph
 
@@ -87,7 +88,7 @@ def build_walk_index(
     policy: str,
     eps: float | None = None,
     mu: float | None = None,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     seed: int = 0,
 ) -> WalkIndex:
     """Pre-generate and persist the walk index for ``g`` at ``path``."""

@@ -20,7 +20,6 @@ power iteration, walks, exact solve — shares one rule.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 import pandas as pd

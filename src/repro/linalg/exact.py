@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import ALPHA_DEFAULT
 from repro.linalg.csr import CSR
 
 
-def exact_ppr(csr: CSR, s: int, alpha: float = 0.2) -> np.ndarray:
+def exact_ppr(csr: CSR, s: int, alpha: float = ALPHA_DEFAULT) -> np.ndarray:
     """The exact PPR vector ``π_s`` (length ``n``, sums to 1)."""
     P = csr.dense_transition(s)
     A = np.eye(csr.n) - (1.0 - alpha) * P.T

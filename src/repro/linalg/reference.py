@@ -14,15 +14,22 @@ Every function takes a :class:`repro.linalg.csr.CSR` plus the source ``s``
 and returns ``(pi, r, stats)`` where ``pi`` is the reserve (estimate)
 vector, ``r`` the residue vector, and ``stats`` a :class:`RunStats`.
 Dead-end mass is routed to ``s`` (paper §2).
+
+FIFO-FwdPush, :func:`fifo_finish` and PowerPush's queue, scan and refine
+phases share one in-place push (:meth:`_Pusher.push`) and one FIFO drain
+(:func:`_fifo_drain`). PowItr and SimFwdPush keep loops of their own: they
+are the oracles the distributed implementations are tested against.
 """
 from __future__ import annotations
 
 import time
 from collections import deque
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
+from repro import ALPHA_DEFAULT
 from repro.linalg.csr import CSR
 
 
@@ -38,17 +45,12 @@ class RunStats:
     trace: list[tuple[int, float]] = field(default_factory=list)
 
 
-def _trace_every(m: int) -> int:
-    # the paper samples every 4·m edge pushes; we sample every m for denser
-    # curves on the small stand-ins (recorded next to the paper's grid in
-    # EXPERIMENTS.md)
-    return max(1, m)
-
-
 # ----------------------------------------------------------------------
 # Power Iteration (§3.1)
 # ----------------------------------------------------------------------
-def powitr(csr: CSR, s: int, alpha: float = 0.2, lam: float = 1e-8) -> tuple[np.ndarray, np.ndarray, RunStats]:
+def powitr(
+    csr: CSR, s: int, alpha: float = ALPHA_DEFAULT, lam: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, RunStats]:
     """Vanilla PowItr: dense iterations ``γ ← (1−α)·γ·P``, ``π += α·γ``.
 
     As a *global* method each iteration touches all ``m`` edges, so each
@@ -75,7 +77,9 @@ def powitr(csr: CSR, s: int, alpha: float = 0.2, lam: float = 1e-8) -> tuple[np.
 # ----------------------------------------------------------------------
 # Simultaneous Forward Push (§4.1) — provably ≡ PowItr (Lemma 4.1)
 # ----------------------------------------------------------------------
-def sim_fwdpush(csr: CSR, s: int, alpha: float = 0.2, lam: float = 1e-8) -> tuple[np.ndarray, np.ndarray, RunStats]:
+def sim_fwdpush(
+    csr: CSR, s: int, alpha: float = ALPHA_DEFAULT, lam: float = 1e-8
+) -> tuple[np.ndarray, np.ndarray, RunStats]:
     """SimFwdPush: per iteration, push **every node with non-zero residue**
     simultaneously (``r_max = 0``). Identical vectors to PowItr, but the
     push counter only charges the degrees of nodes actually holding
@@ -100,12 +104,102 @@ def sim_fwdpush(csr: CSR, s: int, alpha: float = 0.2, lam: float = 1e-8) -> tupl
 
 
 # ----------------------------------------------------------------------
+# The shared push and FIFO drain
+# ----------------------------------------------------------------------
+class _Pusher:
+    """An in-place push state ``(π̂, r)`` over ``csr``, with the running
+    ``r_sum``, the edge-push counter and, when ``trace`` is a list, the
+    ``(edge_pushes, r_sum)`` samples taken every ``m`` pushes."""
+
+    def __init__(
+        self, csr: CSR, s: int, alpha: float, pi: np.ndarray, r: np.ndarray, trace: list | None = None
+    ) -> None:
+        self.s, self.alpha = s, alpha
+        self.indptr, self.indices = csr.indptr, csr.indices
+        self.d_true = csr.out_degrees()
+        self.d_eff = csr.effective_degrees()
+        self.pi, self.r = pi, r
+        self.r_sum = float(r.sum())
+        self.edge_pushes = 0
+        self.trace = trace
+        # the paper samples every 4·m edge pushes; we sample every m for
+        # denser curves on the small stand-ins (recorded next to the
+        # paper's grid in EXPERIMENTS.md)
+        self.sample_every = max(1, csr.m)
+        self.next_sample = self.sample_every
+        self._to_s = np.array([s])
+
+    @classmethod
+    def at_source(cls, csr: CSR, s: int, alpha: float, trace: list | None) -> "_Pusher":
+        """The initial state ``π̂ = 0``, ``r = e_s``."""
+        r = np.zeros(csr.n)
+        r[s] = 1.0
+        return cls(csr, s, alpha, np.zeros(csr.n), r, trace)
+
+    def active(self, threshold: float) -> np.ndarray:
+        """Nodes with ``r > d·threshold``, in id order."""
+        return np.flatnonzero(self.r > self.d_eff * threshold)
+
+    def push(self, v: int) -> np.ndarray:
+        """Push ``v``: ``α·r(v)`` to ``π̂(v)``, the rest spread over its
+        out-neighbours (a dead end's one virtual edge leads to ``s``).
+        Returns the nodes whose residue rose."""
+        rv = self.r[v]
+        self.pi[v] += self.alpha * rv
+        self.r_sum -= self.alpha * rv
+        d = self.d_true[v]
+        if d == 0:  # dead end: one virtual edge back to s
+            self.r[v] = 0.0  # zero first: v may equal s (virtual self-loop)
+            self.r[self.s] += (1.0 - self.alpha) * rv
+            touched = self._to_s
+            self.edge_pushes += 1
+        else:
+            touched = self.indices[self.indptr[v] : self.indptr[v + 1]]
+            self.r[v] = 0.0
+            self.r[touched] += (1.0 - self.alpha) * rv / d  # distinct: edges deduplicated
+            self.edge_pushes += int(d)
+        if self.trace is not None and self.edge_pushes >= self.next_sample:
+            self.trace.append((self.edge_pushes, max(self.r_sum, 0.0)))
+            self.next_sample += self.sample_every
+        return touched
+
+
+def _fifo_drain(
+    st: _Pusher,
+    threshold: float,
+    queue: list[int] | None = None,
+    *,
+    exclude: int | None = None,
+    stop: Callable[[int], bool] | None = None,
+) -> None:
+    """Algorithm 2's FIFO loop at ``threshold``: pop a node, push it, and
+    enqueue every neighbour it turned active, until the queue is empty or
+    ``stop(len(queue))`` holds. The queue starts as ``queue`` (default: all
+    active nodes). ``exclude`` marks a node whose residue accumulates
+    instead of being pushed (ResAcc's source)."""
+    if queue is None:
+        queue = [int(v) for v in st.active(threshold) if v != exclude]
+    q: deque[int] = deque(queue)
+    in_q = np.zeros(st.r.size, dtype=bool)
+    in_q[queue] = True
+    while q and not (stop is not None and stop(len(q))):
+        v = q.popleft()
+        in_q[v] = False
+        touched = st.push(v)
+        newly = touched[(st.r[touched] > st.d_eff[touched] * threshold) & ~in_q[touched]]
+        for u in np.unique(newly):
+            if u != exclude:
+                q.append(int(u))
+                in_q[u] = True
+
+
+# ----------------------------------------------------------------------
 # FIFO Forward Push (Algorithm 2)
 # ----------------------------------------------------------------------
 def fifo_fwdpush(
     csr: CSR,
     s: int,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     r_max: float | None = None,
     lam: float = 1e-8,
 ) -> tuple[np.ndarray, np.ndarray, RunStats]:
@@ -116,50 +210,13 @@ def fifo_fwdpush(
     if r_max is None:
         r_max = lam / csr.m
     stats = RunStats("FIFO-FwdPush")
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    d_true = csr.out_degrees()
-    d_eff = csr.effective_degrees()
-    r = np.zeros(n)
-    r[s] = 1.0
-    pi = np.zeros(n)
-    r_sum = 1.0
-    in_q = np.zeros(n, dtype=bool)
-    q: deque[int] = deque()
-    q.append(s)
-    in_q[s] = True
-    sample_every = _trace_every(csr.m)
-    next_sample = sample_every
-    while q:
-        v = q.popleft()
-        in_q[v] = False
-        rv = r[v]
-        pi[v] += alpha * rv
-        r_sum -= alpha * rv
-        if d_true[v] == 0:  # dead end: one virtual edge back to s
-            r[v] = 0.0  # zero first: v may equal s (virtual self-loop)
-            r[s] += (1.0 - alpha) * rv
-            if r[s] > d_eff[s] * r_max and not in_q[s]:
-                q.append(s)
-                in_q[s] = True
-            stats.edge_pushes += 1
-        else:
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            r[v] = 0.0
-            share = (1.0 - alpha) * rv / d_true[v]
-            r[nbrs] += share  # nbrs are distinct (edges deduplicated)
-            newly = nbrs[(r[nbrs] > d_eff[nbrs] * r_max) & ~in_q[nbrs]]
-            for u in np.unique(newly):
-                q.append(int(u))
-                in_q[u] = True
-            stats.edge_pushes += int(d_true[v])
-        if stats.edge_pushes >= next_sample:
-            stats.trace.append((stats.edge_pushes, r_sum))
-            next_sample += sample_every
-    stats.trace.append((stats.edge_pushes, max(r_sum, 0.0)))
+    st = _Pusher.at_source(csr, s, alpha, stats.trace)
+    _fifo_drain(st, r_max, [s])
+    stats.edge_pushes = st.edge_pushes
+    stats.trace.append((stats.edge_pushes, max(st.r_sum, 0.0)))
     stats.iterations = 0  # iteration structure implicit in FIFO order
     stats.wall_time = time.perf_counter() - t0
-    return pi, r, stats
+    return st.pi, st.r, stats
 
 
 def fifo_finish(
@@ -178,40 +235,9 @@ def fifo_finish(
     split). ``exclude`` marks a node whose residue accumulates instead of
     being pushed (ResAcc's source). Returns ``(pi, r, edge_pushes)``;
     inputs are not mutated."""
-    pi = pi.copy()
-    r = r.copy()
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    d_true = csr.out_degrees()
-    d_eff = csr.effective_degrees()
-    in_q = np.zeros(n, dtype=bool)
-    active0 = np.flatnonzero(r > d_eff * r_max)
-    q: deque[int] = deque(int(v) for v in active0 if v != exclude)
-    in_q[list(q)] = True
-    pushes = 0
-    while q:
-        v = q.popleft()
-        in_q[v] = False
-        rv = r[v]
-        pi[v] += alpha * rv
-        if d_true[v] == 0:
-            r[v] = 0.0
-            r[s] += (1.0 - alpha) * rv
-            if r[s] > d_eff[s] * r_max and not in_q[s] and s != exclude:
-                q.append(s)
-                in_q[s] = True
-            pushes += 1
-        else:
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            r[v] = 0.0
-            r[nbrs] += (1.0 - alpha) * rv / d_true[v]
-            newly = nbrs[(r[nbrs] > d_eff[nbrs] * r_max) & ~in_q[nbrs]]
-            for u in np.unique(newly):
-                if u != exclude:
-                    q.append(int(u))
-                    in_q[u] = True
-            pushes += int(d_true[v])
-    return pi, r, pushes
+    st = _Pusher(csr, s, alpha, pi.copy(), r.copy())
+    _fifo_drain(st, r_max, exclude=exclude)
+    return st.pi, st.r, st.edge_pushes
 
 
 # ----------------------------------------------------------------------
@@ -220,7 +246,7 @@ def fifo_finish(
 def powerpush(
     csr: CSR,
     s: int,
-    alpha: float = 0.2,
+    alpha: float = ALPHA_DEFAULT,
     lam: float = 1e-8,
     epoch_num: int = 8,
     scan_threshold: int | None = None,
@@ -239,81 +265,30 @@ def powerpush(
     if scan_threshold is None:
         scan_threshold = max(1, csr.n // 4)
     stats = RunStats("PowerPush")
-    n = csr.n
-    indptr, indices = csr.indptr, csr.indices
-    d_true = csr.out_degrees()
-    d_eff = csr.effective_degrees()
-    r = np.zeros(n)
-    r[s] = 1.0
-    pi = np.zeros(n)
-    r_sum = 1.0
-    r_max = lam / csr.m
-    sample_every = _trace_every(csr.m)
-    next_sample = sample_every
-
-    def _sample() -> None:
-        nonlocal next_sample
-        if stats.edge_pushes >= next_sample:
-            stats.trace.append((stats.edge_pushes, max(r_sum, 0.0)))
-            next_sample += sample_every
-
-    def _push(v: int, threshold: float, q: deque | None, in_q: np.ndarray | None) -> None:
-        nonlocal r_sum
-        rv = r[v]
-        pi[v] += alpha * rv
-        r_sum -= alpha * rv
-        if d_true[v] == 0:
-            r[v] = 0.0
-            r[s] += (1.0 - alpha) * rv
-            if q is not None and r[s] > d_eff[s] * threshold and not in_q[s]:
-                q.append(s)
-                in_q[s] = True
-            stats.edge_pushes += 1
-        else:
-            nbrs = indices[indptr[v] : indptr[v + 1]]
-            r[v] = 0.0
-            r[nbrs] += (1.0 - alpha) * rv / d_true[v]
-            if q is not None:
-                newly = nbrs[(r[nbrs] > d_eff[nbrs] * threshold) & ~in_q[nbrs]]
-                for u in np.unique(newly):
-                    q.append(int(u))
-                    in_q[u] = True
-            stats.edge_pushes += int(d_true[v])
-        _sample()
+    st = _Pusher.at_source(csr, s, alpha, stats.trace)
 
     # ---- queue (local) phase: Algorithm 3 lines 7–13 ----
-    in_q = np.zeros(n, dtype=bool)
-    q: deque[int] = deque([s])
-    in_q[s] = True
-    while q and len(q) <= scan_threshold and r_sum > lam:
-        v = q.popleft()
-        in_q[v] = False
-        _push(v, r_max, q, in_q)
+    _fifo_drain(st, lam / csr.m, [s], stop=lambda q_len: q_len > scan_threshold or st.r_sum <= lam)
 
     # ---- scan (global) phase: Algorithm 3 lines 14–24 ----
-    if r_sum > lam:
+    if st.r_sum > lam:
         for i in range(1, epoch_num + 1):
             r_max_i = lam ** (i / epoch_num) / csr.m
-            while r_sum > csr.m * r_max_i:
-                active = np.flatnonzero(r > d_eff * r_max_i)
+            while st.r_sum > csr.m * r_max_i:
+                active = st.active(r_max_i)
                 if active.size == 0:
                     break
                 for v in active:
                     # asynchronous: re-check activity (a push earlier in this
                     # scan may have raised or drained v's residue)
-                    if r[v] > d_eff[v] * r_max_i:
-                        _push(int(v), r_max_i, None, None)
+                    if st.r[v] > st.d_eff[v] * r_max_i:
+                        st.push(int(v))
 
     # ---- optional refinement to a no-active state (Remark / SpeedPPR) ----
     if refine_r_max is not None:
-        in_q = np.zeros(n, dtype=bool)
-        q = deque(int(v) for v in np.flatnonzero(r > d_eff * refine_r_max))
-        in_q[list(q)] = True
-        while q:
-            v = q.popleft()
-            in_q[v] = False
-            _push(v, refine_r_max, q, in_q)
+        _fifo_drain(st, refine_r_max)
 
-    stats.trace.append((stats.edge_pushes, max(r_sum, 0.0)))
+    stats.edge_pushes = st.edge_pushes
+    stats.trace.append((stats.edge_pushes, max(st.r_sum, 0.0)))
     stats.wall_time = time.perf_counter() - t0
-    return pi, r, stats
+    return st.pi, st.r, stats
