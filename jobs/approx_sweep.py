@@ -1,12 +1,7 @@
 """spark-submit entrypoint for Tables F7/F8 (Figs. 7/8: approx time & error
 vs ε). One sweep produces both tables."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from _common import scale, session
-
 from repro.experiments.approx import print_approx
+from repro.session import scale, session
 
 if __name__ == "__main__":
     spark = session("repro-approx")

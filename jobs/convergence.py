@@ -1,11 +1,6 @@
 """spark-submit entrypoint for Table F6 (Figs. 5/6: ℓ1 error vs pushes)."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from _common import scale, session
-
 from repro.experiments.convergence import print_convergence
+from repro.session import scale, session
 
 if __name__ == "__main__":
     spark = session("repro-convergence")

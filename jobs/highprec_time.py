@@ -1,11 +1,6 @@
 """spark-submit entrypoint for Table F4 (Fig. 4: high-precision query time)."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from _common import scale, session
-
 from repro.experiments.highprec import print_highprec
+from repro.session import scale, session
 
 if __name__ == "__main__":
     spark = session("repro-highprec")

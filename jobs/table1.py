@@ -1,11 +1,6 @@
 """spark-submit entrypoint for Table 1 (dataset statistics)."""
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).parent))
-from _common import scale, session
-
 from repro.experiments.table1 import print_table1
+from repro.session import scale, session
 
 if __name__ == "__main__":
     spark = session("repro-table1")

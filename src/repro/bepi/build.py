@@ -6,11 +6,12 @@ Pipeline:
    total-degree remaining nodes into the hub set until every connected
    component of the remaining subgraph fits ``max_block``. The rounds use
    the driver-side union-find (the edge list is collected once — it is
-   needed for the cross matrices anyway); the **final** partition labels
-   are recomputed with the Pregel-style Spark CC substrate
-   (:func:`repro.graphs.ccomp.connected_components`), which cross-checks
-   the local result. Dense graphs shed few components per round, so the
-   hub set balloons — exactly the density sensitivity that makes BePI's
+   needed for the cross matrices anyway). By default the **final**
+   partition labels are recomputed with the Pregel-style Spark CC substrate
+   (:func:`repro.graphs.ccomp.connected_components`); those labels
+   replace the last round's local ones, they do not check them. Dense
+   graphs shed few components per round, so the hub set balloons —
+   exactly the density sensitivity that makes BePI's
    preprocessing explode on Orkut-like graphs (Table 2).
 2. **Block packing** — components become diagonal blocks; tiny ones are
    greedily packed together (a union of disconnected components is still a
@@ -50,8 +51,9 @@ def _select_hubs(
     max_block: int,
     hub_frac: float,
     max_rounds: int = 256,
-) -> tuple[np.ndarray, np.ndarray]:
-    """SlashBurn-lite on the driver; returns (hub ids, non-hub mask)."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """SlashBurn-lite on the driver; returns (hub ids, non-hub mask,
+    union-find component labels by node id of the non-hub subgraph)."""
     tdeg = np.bincount(src, minlength=n) + np.bincount(dst, minlength=n)
     remaining = np.ones(n, dtype=bool)
     for _ in range(max_rounds):
@@ -65,7 +67,7 @@ def _select_hubs(
         sizes = _comp_sizes(comp, remaining)
         if sizes.size == 0 or sizes.max() <= max_block:
             hubs = np.flatnonzero(~remaining)
-            return hubs.astype(np.int64), remaining
+            return hubs.astype(np.int64), remaining, comp
     raise RuntimeError("SlashBurn-lite did not shrink components within round limit")
 
 
@@ -184,9 +186,9 @@ def build_bepi_index(
 ) -> BepiIndex:
     """Build (and optionally persist) the BePI-lite index for ``g``.
 
-    ``final_cc``: "spark" validates the partition with the Pregel CC
-    substrate; "local" reuses the driver union-find labels (faster, used
-    by some benchmarks).
+    ``final_cc``: "spark" recomputes the partition labels with the Pregel CC
+    substrate; "local" keeps the driver union-find labels of the last
+    hub-selection round (faster, used by some benchmarks).
     """
     t0 = time.perf_counter()
     edges = (
@@ -196,14 +198,12 @@ def build_bepi_index(
     )
     e_src = edges["src"].to_numpy(np.int64)
     e_dst = edges["dst"].to_numpy(np.int64)
-    hubs, remaining = _select_hubs(g.n, e_src, e_dst, max_block, hub_frac)
+    hubs, remaining, comp = _select_hubs(g.n, e_src, e_dst, max_block, hub_frac)
 
     if remaining.any():
         if final_cc == "spark":
             labels = _final_labels_spark(g, remaining)
         else:
-            keep = remaining[e_src] & remaining[e_dst]
-            comp = connected_components_local(g.n, e_src[keep], e_dst[keep])
             nodes = np.flatnonzero(remaining)
             labels = pd.DataFrame({"node": nodes, "comp": comp[nodes]})
         assign = _pack_blocks(labels, max_block)

@@ -62,43 +62,45 @@ def refine_with_walks(
 ) -> tuple[DataFrame, int]:
     """Return ``(π̂' as (node, pi), number of walks used)``."""
     starts = walk_starts(r_df, W).cache()
-    total_walks = starts.agg(F.sum("W_v")).collect()[0][0]
-    total_walks = int(total_walks or 0)
-    if total_walks == 0:
-        starts.unpersist()
-        return pi_df, 0
+    used = None
+    try:
+        total_walks = int(starts.agg(F.sum("W_v")).collect()[0][0] or 0)
+        if total_walks == 0:
+            return pi_df, 0
 
-    if index is None:
-        seeds = starts.select(
-            F.col("node").alias("start"),
-            "weight",
-            F.explode(F.sequence(F.lit(1), F.col("W_v"))).alias("walk_idx"),
-        )
-        walks = simulate_walks_df(g, seeds, s=s, alpha=alpha, seed=seed)
-        contrib = weighted_endpoint_mass(walks)
-    else:
-        used = (
-            starts.join(index.walks, starts["node"] == index.walks["start"])
-            .where(F.col("walk_idx") <= F.col("W_v"))
-            .select("start", "weight", "endpoint", "pending")
-        ).cache()
-        done = weighted_endpoint_mass(used.where(~F.col("pending")))
-        pend = used.where(F.col("pending")).select("weight").toPandas()
-        if len(pend):
-            # finish frozen walks: their continuation is a fresh α-walk
-            # from the query source
-            rng = np.random.default_rng([seed, 777, int(s)])
-            ends = simulate_endpoints(
-                g.to_csr(), int(s), np.full(len(pend), s, dtype=np.int64), alpha, rng
+        if index is None:
+            seeds = starts.select(
+                F.col("node").alias("start"),
+                "weight",
+                F.explode(F.sequence(F.lit(1), F.col("W_v"))).alias("walk_idx"),
             )
-            pdf = pd.DataFrame({"node": ends, "pi": pend["weight"].to_numpy()})
-            pend_df = g.spark.createDataFrame(pdf.groupby("node", as_index=False).sum())
-            contrib = vec_add(done, pend_df, "pi")
+            walks = simulate_walks_df(g, seeds, s=s, alpha=alpha, seed=seed)
+            contrib = weighted_endpoint_mass(walks)
         else:
-            contrib = done
-        used.unpersist()
+            used = (
+                starts.join(index.walks, starts["node"] == index.walks["start"])
+                .where(F.col("walk_idx") <= F.col("W_v"))
+                .select("start", "weight", "endpoint", "pending")
+            ).cache()
+            done = weighted_endpoint_mass(used.where(~F.col("pending")))
+            pend = used.where(F.col("pending")).select("weight").toPandas()
+            if len(pend):
+                # finish frozen walks: their continuation is a fresh α-walk
+                # from the query source
+                rng = np.random.default_rng([seed, 777, int(s)])
+                ends, _ = simulate_endpoints(
+                    g.to_csr(), int(s), np.full(len(pend), s, dtype=np.int64), alpha, rng
+                )
+                pdf = pd.DataFrame({"node": ends, "pi": pend["weight"].to_numpy()})
+                pend_df = g.spark.createDataFrame(pdf.groupby("node", as_index=False).sum())
+                contrib = vec_add(done, pend_df, "pi")
+            else:
+                contrib = done
 
-    pi_final = vec_add(pi_df, contrib, "pi").cache()
-    pi_final.count()
-    starts.unpersist()
-    return pi_final, total_walks
+        pi_final = vec_add(pi_df, contrib, "pi").cache()
+        pi_final.count()
+        return pi_final, total_walks
+    finally:
+        starts.unpersist()
+        if used is not None:
+            used.unpersist()

@@ -1,9 +1,10 @@
 """Distributed α-random walks and the MonteCarlo Approx-SSPPR baseline.
 
-The simulator broadcasts the graph as a CSR (an application-level
-broadcast — the session's *join* broadcasts stay disabled) and steps every
-walk of a partition in vectorized numpy inside ``mapInPandas``. This is the
-standard production pattern when the adjacency fits in executor memory;
+The simulator reads the graph's broadcast CSR (:meth:`Graph.csr_broadcast`,
+an application-level broadcast — the session's *join* broadcasts stay
+disabled) and steps every walk of a partition with the one walk kernel,
+:func:`repro.linalg.walks.simulate_endpoints`, inside ``mapInPandas``. This
+is the standard production pattern when the adjacency fits in executor memory;
 the per-step join-with-adjacency dataflow would cost one shuffle per walk
 step for no benefit at these graph sizes.
 
@@ -24,11 +25,7 @@ from pyspark.sql.types import BooleanType, LongType, StructField, StructType
 from repro import ALPHA_DEFAULT
 from repro.core.common import PPRResult, check_query, empty_vec
 from repro.graphs.graph import Graph
-from repro.linalg.walks import (
-    MAX_STEPS_DEFAULT,
-    simulate_endpoints,
-    simulate_endpoints_indexable,
-)
+from repro.linalg.walks import MAX_STEPS_DEFAULT, simulate_endpoints
 
 
 def num_walks(n: int, eps: float, mu: float) -> int:
@@ -50,12 +47,11 @@ def simulate_walks_df(
 
     ``seeds`` must have a ``start`` column; all other columns pass through.
     With ``s`` given, dead ends jump back to ``s`` and ``pending`` is always
-    false; with ``s=None`` (index builds) walks freeze at dead ends and are
-    flagged pending (see :func:`simulate_endpoints_indexable`).
+    false; with ``s=None`` (index builds) walks stop at dead ends and are
+    flagged pending (see :func:`simulate_endpoints`).
     """
-    csr = g.to_csr()
-    sc = g.spark.sparkContext
-    bc = sc.broadcast((csr.n, csr.indptr, csr.indices))
+    bc = g.csr_broadcast()
+    s = None if s is None else int(s)
     # fresh StructType — StructType.add mutates in place, which would
     # corrupt the seeds DataFrame's cached schema
     out_schema = StructType(
@@ -79,11 +75,7 @@ def simulate_walks_df(
             # deterministic, collision-free per-batch stream: keyed by the
             # user seed, the partition, and the batch ordinal within it
             rng = np.random.default_rng([seed, pid, batch_no])
-            if s is None:
-                ends, pend = simulate_endpoints_indexable(local, starts, alpha, rng, max_steps)
-            else:
-                ends = simulate_endpoints(local, int(s), starts, alpha, rng, max_steps)
-                pend = np.zeros(len(starts), dtype=bool)
+            ends, pend = simulate_endpoints(local, s, starts, alpha, rng, max_steps)
             out = pdf[pass_cols].copy()
             out["endpoint"] = ends
             out["pending"] = pend

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
+from pyspark import Broadcast
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.window import Window
@@ -41,6 +42,7 @@ class Graph:
     n: int
     m: int
     _csr_cache: CSR | None = field(default=None, repr=False, compare=False)
+    _csr_broadcast: Broadcast | None = field(default=None, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Construction
@@ -153,6 +155,19 @@ class Graph:
             )
         return self._csr_cache
 
+    def csr_broadcast(self) -> Broadcast:
+        """The CSR as a broadcast ``(n, indptr, indices)`` for the walk
+        simulator, created on first use and destroyed by :meth:`unpersist`.
+
+        It lives as long as the graph, not the query: walk results are
+        cached, not checkpointed, so an evicted partition is recomputed
+        through the walk UDF and needs the broadcast again.
+        """
+        if self._csr_broadcast is None:
+            csr = self.to_csr()
+            self._csr_broadcast = self.spark.sparkContext.broadcast((csr.n, csr.indptr, csr.indices))
+        return self._csr_broadcast
+
     def avg_degree(self) -> float:
         """``m / n`` — the Table 1 density statistic."""
         return self.m / self.n
@@ -160,3 +175,6 @@ class Graph:
     def unpersist(self) -> None:
         for df in (self.edges, self.nodes, self.degrees):
             df.unpersist()
+        if self._csr_broadcast is not None:
+            self._csr_broadcast.destroy()
+            self._csr_broadcast = None

@@ -1,6 +1,7 @@
 """Guards every query shares: a bad argument is rejected with ValueError
-before any Spark job runs, and a push that hits its superstep cap raises
-and still releases its cached query view.
+before any Spark job runs, a push that hits its superstep cap raises and
+still releases its cached query view, a walk refinement that fails still
+releases its caches, and all walks on a graph share one CSR broadcast.
 
 Jobs are counted the way the benchmark counts them: under a job group of
 their own, through ``statusTracker().getJobIdsForGroup``.
@@ -9,8 +10,9 @@ import itertools
 
 import numpy as np
 import pytest
-from pyspark import StorageLevel
+from pyspark import SparkContext, StorageLevel
 
+from repro.core import approx_common, build_walk_index
 from repro.core import fifo_fwdpush, fora, monte_carlo, powerpush, powitr, sim_fwdpush, speedppr
 from repro.core.resacc import resacc
 from repro.graphs.generators import chung_lu
@@ -103,3 +105,42 @@ def test_superstep_cap_raises_and_releases_view(cl, monkeypatch, run):
         run(cl)
     assert len(views) == 2  # adj and deg_q
     assert all(v.storageLevel == StorageLevel.NONE for v in views)
+
+
+def test_failed_walks_release_refinement_caches(cl, monkeypatch):
+    starts = []
+    walk_starts = approx_common.walk_starts
+
+    def spy(*args):
+        out = walk_starts(*args)
+        starts.append(out)
+        return out
+
+    def fail(*args, **kwargs):
+        raise RuntimeError("walks failed")
+
+    monkeypatch.setattr(approx_common, "walk_starts", spy)
+    monkeypatch.setattr(approx_common, "simulate_walks_df", fail)
+    with pytest.raises(RuntimeError, match="walks failed"):
+        fora(cl, 0, eps=EPS)
+    assert len(starts) == 1
+    assert starts[0].storageLevel == StorageLevel.NONE
+
+
+def test_walks_share_one_csr_broadcast(spark, monkeypatch, tmp_path):
+    g = chung_lu(spark, n=120, avg_deg=5.0, seed=31)  # unpersisted below
+    made = []
+    broadcast = SparkContext.broadcast
+
+    def spy(self, value):
+        out = broadcast(self, value)
+        made.append(out)
+        return out
+
+    monkeypatch.setattr(SparkContext, "broadcast", spy)
+    monte_carlo(g, 0, eps=EPS)
+    fora(g, 0, eps=EPS)
+    build_walk_index(g, str(tmp_path / "index"), policy="speedppr")
+    assert len(made) == 1
+    g.unpersist()
+    assert not made[0]._jbroadcast.isValid()
